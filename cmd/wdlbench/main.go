@@ -1154,6 +1154,32 @@ func runP11() error {
 		return fmt.Errorf("p11: interning saves only %.0f%% (ratio %.2f, want <= 0.90)", (1-internRatio)*100, internRatio)
 	}
 
+	// Posts-per-author axis, the O(δ) gate: at a fixed population, the
+	// steady-state update rate must not depend on how many posts each
+	// author already pushes to its followers. One update ships one post,
+	// whatever the view size, so a 4x larger view may cost at most 1.5x.
+	const axisPeers = 2000
+	fmt.Printf("\nsteady state at %d peers by posts per author:\n", axisPeers)
+	rates := map[int]float64{}
+	for _, posts := range []int{16, 64} {
+		spec := base
+		spec.Peers, spec.Posts = axisPeers, posts
+		r, err := bench.RunSwarm(spec, 5, 200)
+		if err != nil {
+			return err
+		}
+		rates[posts] = r.UpdatesPerSec
+		fmt.Printf("  %2d posts/author: %8.0f updates/s\n", posts, r.UpdatesPerSec)
+	}
+	postsRatio := rates[16] / rates[64]
+	fmt.Printf("  rate(16) / rate(64) = %.2f (want <= 1.5)\n", postsRatio)
+	metric("updates_per_sec_posts16", rates[16])
+	metric("updates_per_sec_posts64", rates[64])
+	metric("posts_rate_ratio", postsRatio)
+	if postsRatio > 1.5 {
+		return fmt.Errorf("p11: a 4x larger view made updates %.2fx slower (want <= 1.5): update cost grows with the view, not the delta", postsRatio)
+	}
+
 	metric("peers", float64(last.Peers))
 	metric("facts", float64(last.Facts))
 	metric("updates_per_sec", last.UpdatesPerSec)
@@ -1168,7 +1194,8 @@ func runP11() error {
 	fmt.Println("intern table amortizes every replicated fact across its followers), the")
 	fmt.Println("interned arm undercuts the ablation, and the quiescent-scan column is")
 	fmt.Println("zero — the scheduler discovers work through wake hooks, so an idle")
-	fmt.Println("swarm costs nothing per round regardless of its size.")
+	fmt.Println("swarm costs nothing per round regardless of its size. The update rate")
+	fmt.Println("is flat across posts per author: an update costs O(δ), not O(view).")
 	return nil
 }
 

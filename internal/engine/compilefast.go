@@ -184,7 +184,7 @@ func (e *Engine) analyzeStep(cr *CompiledRule, pos int, kind stageKind, deltaPos
 		sp.biL, sp.biR = a.args[0], a.args[1]
 		return sp, true
 	}
-	sp.relID = rn + "@" + pn
+	sp.relID = a.relID
 	rel := e.db.Get(rn, pn)
 	if a.neg {
 		if rel == nil || rel.Schema().Arity() != len(a.args) {

@@ -132,15 +132,21 @@ type Result struct {
 	// LocalUpdates are +/- updates to local extensional relations, to be
 	// applied at the beginning of the next local stage.
 	LocalUpdates []FactOp
-	// Remote maps destination peer name to every fact the stage derived for
-	// it — the full per-stage emission set, before delta maintenance.
+	// Remote maps destination peer name to the facts the stage's rules
+	// emitted for it, before delta maintenance. RunStage and RunStageFull
+	// evaluate every rule in full, so there it is the complete per-stage
+	// emission set. RunStageIncremental maintains remote-view rules from
+	// deltas and reports only what event rules emitted (they are still
+	// evaluated in full); use RemoteOut for what actually changed.
 	Remote map[string][]FactOp
 	// RemoteOut maps destination peer name to the deltas to actually ship:
 	// maintained inserts for newly derived facts, maintained deletes for
 	// facts whose last derivation disappeared, and pass-through one-shot
-	// deletion-rule updates. Populated by RunStageIncremental and
-	// RunStageFull (which maintain the caller's RemoteView), not by bare
-	// RunStage.
+	// deletion-rule updates, deletes first, each run sorted by fact key.
+	// Populated by RunStageIncremental (from the stage's remote-view deltas
+	// and event-rule emissions) and RunStageFull (by reconciling the whole
+	// emission set), both of which maintain the caller's RemoteView; not by
+	// bare RunStage.
 	RemoteOut map[string][]RemoteOp
 	// Views maps "rel@peer" to the net change an incremental stage made to
 	// that materialized local view. Populated only by RunStageIncremental;
@@ -253,6 +259,9 @@ type cAtom struct {
 	rel  termRef
 	peer termRef
 	args []termRef
+	// relID is the static "rel@peer" id when both the relation and the peer
+	// term are constants, "" otherwise — the key of the atom's delta set.
+	relID string
 }
 
 // CompiledRule is a rule compiled against a variable frame: each distinct
@@ -266,14 +275,19 @@ type CompiledRule struct {
 	Body      []cAtom
 	Stratum   int
 
-	// Event marks rules outside the incremental view-maintenance fast path:
-	// deletion rules, rules whose head is (or may be) remote or extensional,
-	// and rules whose body may leave the local peer (delegation). Event
-	// rules are evaluated in full every stage, which preserves the paper's
-	// continuous emission and delegation-maintenance semantics; non-event
-	// ("view") rules are maintained from deltas. See classify in
-	// incremental.go.
+	// Event marks rules outside the incremental fast paths: deletion rules,
+	// rules whose head relation or peer is a variable or lands in a local
+	// extensional relation, and rules whose body may leave the local peer
+	// (delegation) or negates a relation. Event rules are evaluated in full
+	// every stage, which preserves the paper's continuous emission and
+	// delegation-maintenance semantics; non-event rules (views and remote
+	// views) are maintained from deltas. See classify in incremental.go.
 	Event bool
+	// RemoteView marks Derive rules with a fully local, positive body and a
+	// constant head naming a remote peer. Their derivations are maintained
+	// from deltas into the caller's RemoteView, the per-destination image
+	// of what the receiver holds.
+	RemoteView bool
 	// MaybeView marks rules whose head could land in a local intensional
 	// relation (every view rule, plus event rules with a variable head
 	// relation or peer). Only these participate in the deletion pass and in
@@ -294,6 +308,21 @@ type Program struct {
 	// attached, and no rule that may derive into a local view uses
 	// negation. Otherwise every stage must recompute (RunStageFull).
 	Incremental bool
+
+	// remoteViews holds the remote-view rules sorted by head "rel@peer",
+	// for rederivation checks of over-deleted remote facts.
+	remoteViews []*CompiledRule
+}
+
+// remoteViewsFor returns the remote-view rules whose head is relID.
+func (p *Program) remoteViewsFor(relID string) []*CompiledRule {
+	rs := p.remoteViews
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].Head.relID >= relID })
+	j := i
+	for j < len(rs) && rs[j].Head.relID == relID {
+		j++
+	}
+	return rs[i:j]
 }
 
 // RuleCount returns the number of rules in the program.

@@ -30,6 +30,13 @@ type stageState struct {
 	// incr is non-nil during RunStageIncremental: produce() additionally
 	// maintains the net view-delta bookkeeping (incremental.go).
 	incr *incrState
+	// rv is the caller's maintained remote view during RunStageIncremental:
+	// remote-view derivations are checked against it, not emitted.
+	rv *RemoteView
+	// events is the side set of Derive facts event rules emitted for remote
+	// peers, by destination and fact key: the emissions the remote view
+	// reconciles fact by fact (RemoteView.advance, reconcile).
+	events map[string]map[string]ast.Fact
 }
 
 func newStageState() *stageState {
@@ -62,6 +69,10 @@ func (st *stageState) errf(format string, args ...any) {
 // mutated (facts derived into them); everything else is returned in Result
 // for the peer to apply or transmit.
 func (e *Engine) RunStage(prog *Program) *Result {
+	return e.runStage(prog).out
+}
+
+func (e *Engine) runStage(prog *Program) *stageState {
 	st := newStageState()
 	st.planner = e.newPlanner()
 	for _, stratum := range prog.Strata {
@@ -74,7 +85,7 @@ func (e *Engine) RunStage(prog *Program) *Result {
 			e.runStratumNaive(stratum, st)
 		}
 	}
-	return st.out
+	return st
 }
 
 func (e *Engine) runStratumSemiNaive(stratum []*CompiledRule, st *stageState) {
@@ -105,11 +116,8 @@ func (e *Engine) runStratumSemiNaive(stratum []*CompiledRule, st *stageState) {
 				// and received no new facts last iteration: the pass could
 				// only rediscover derivations already found, at the price of
 				// fully scanning every atom before j.
-				if !a.rel.isVar && !a.peer.isVar {
-					id := a.rel.val.StringVal() + "@" + a.peer.val.StringVal()
-					if len(prev[id]) == 0 {
-						continue
-					}
+				if a.relID != "" && len(prev[a.relID]) == 0 {
+					continue
 				}
 				e.evalRule(cr, st, j, prev)
 			}
@@ -322,8 +330,13 @@ func (e *Engine) evalFrom(cr *CompiledRule, step int, env []value.Value, bound [
 
 // produce materializes the head under the current bindings and routes it:
 // local intensional -> derive now (feeding the fixpoint); local extensional
-// -> buffered update for the next stage; remote -> outgoing message.
+// -> buffered update for the next stage; remote -> outgoing message, or, for
+// a remote-view rule in an incremental stage, a remote-view delta.
 func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
+	if st.incr != nil && cr.RemoteView {
+		e.deriveRemote(st, cr, env)
+		return
+	}
 	headPeer, ok := resolveName(cr.Head.peer, env)
 	if !ok {
 		st.errf("engine: rule %s: head peer term is not a string", cr.Rule.ID)
@@ -348,6 +361,9 @@ func (e *Engine) produce(cr *CompiledRule, env []value.Value, st *stageState) {
 	if headPeer != e.local {
 		fo := FactOp{Op: op, Fact: fact}
 		key := headPeer + "\x00" + fo.Key()
+		if cr.Event && op == ast.Derive {
+			st.noteEvent(headPeer, fact)
+		}
 		if !st.remoteSeen[key] {
 			st.remoteSeen[key] = true
 			st.out.Remote[headPeer] = append(st.out.Remote[headPeer], fo)
@@ -425,6 +441,20 @@ func (e *Engine) deriveLocal(st *stageState, rel *store.Relation, relID string, 
 		}
 	}
 	return true
+}
+
+// noteEvent records an event rule's remote Derive emission in the stage's
+// side set.
+func (st *stageState) noteEvent(dst string, f ast.Fact) {
+	m := st.events[dst]
+	if m == nil {
+		if st.events == nil {
+			st.events = map[string]map[string]ast.Fact{}
+		}
+		m = map[string]ast.Fact{}
+		st.events[dst] = m
+	}
+	m[f.Key()] = f
 }
 
 func (e *Engine) trace(st *stageState, head ast.Fact, cr *CompiledRule) {

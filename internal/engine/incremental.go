@@ -19,22 +19,31 @@ import (
 // deleted fact, then rederive what still has an alternative derivation, so
 // retracting one support never kills a tuple that has another.
 //
-// Rules are split statically (classify):
+// Rules are split statically (classify) into three classes:
 //
 //   - view rules — head is a declared local intensional relation, body fully
 //     local and positive. These are the materialized views and take the
 //     delta path.
-//   - event rules — everything else: deletion rules, rules with remote or
-//     extensional or variable heads, rules whose body can leave the peer
-//     (delegation). Event rules are evaluated in full every stage, exactly
-//     as RunStage would, which preserves the paper's delegation-maintenance
-//     and update-emission semantics unchanged. Because all remote emissions
-//     and delegations come from event rules, Result.Remote and
-//     Result.Delegations stay complete per stage.
+//   - remote-view rules — Derive rules whose body is fully local and
+//     positive and whose head relation and peer are constants, the peer
+//     remote: the paper's push rules and delegated residuals. Their
+//     materialization is the caller's per-destination RemoteView, and they
+//     take the same delta path: semi-naive insert iterations, a DRed
+//     over-delete whose terminal marks the fact in the remote view, and a
+//     rederive check (head-unified match) for what stays marked.
+//   - event rules — everything else: deletion rules, rules with variable or
+//     local extensional heads, rules whose body can leave the peer
+//     (delegation) or negates a relation. Event rules are evaluated in full
+//     every stage, exactly as RunStage would, which preserves the paper's
+//     delegation-maintenance and update-emission semantics unchanged.
+//     Result.Delegations stays complete per stage.
 //
-// Remote Derive-op emissions are additionally diffed against the engine's
-// maintained remoteView, producing true insert/retract deltas
-// (Result.RemoteOut) instead of re-shipping the full set every stage.
+// Remote emissions ship as true insert/retract deltas (Result.RemoteOut).
+// An incremental stage settles only the remote facts it touched: the
+// remote-view deltas, the facts event rules emitted (kept in a side set)
+// this stage or the last, and the facts a one-shot deletion rule evicted at
+// the last stage — so a stage costs O(δ), not O(view). Only RunStageFull
+// reconciles the whole remote view.
 
 // StageInput describes the base-fact deltas of one peer stage. All tuples in
 // Ins are already present in the store (the peer applied extensional updates
@@ -87,6 +96,13 @@ type incrState struct {
 	// this stage, seeding the delta passes of later strata.
 	stageIns deltaSet
 	stageDel deltaSet
+	// rIns holds remote-view derivations not in the remote view, by
+	// destination and fact key; rMarked the remote view's over-deleted facts
+	// not (yet) rederived. RemoteView.advance settles both at stage end.
+	rIns    map[string]map[string]ast.Fact
+	rMarked map[string]map[string]ast.Fact
+	// rkey is the scratch buffer remote fact keys are built in.
+	rkey []byte
 }
 
 func (ic *incrState) ghost(relID string, t value.Tuple) {
@@ -191,12 +207,85 @@ func (ic *incrState) ghostIndexFor(relID string, mask store.ColMask, g map[strin
 	return idx
 }
 
+// appendHeadKey appends the ast.Fact.Key of the head of remote-view rule
+// cr under env to dst.
+func appendHeadKey(dst []byte, cr *CompiledRule, env []value.Value) []byte {
+	dst = append(dst, cr.Head.relID...)
+	dst = append(dst, '|')
+	for _, arg := range cr.Head.args {
+		if arg.isVar {
+			dst = env[arg.slot].AppendKey(dst)
+		} else {
+			dst = arg.val.AppendKey(dst)
+		}
+	}
+	return dst
+}
+
+// deriveRemote records the derivation of remote-view rule cr's head under
+// env: a fact the remote view lacks becomes a pending insert, an
+// over-deleted one is rederived. A fact already in the view costs no
+// allocation.
+func (e *Engine) deriveRemote(st *stageState, cr *CompiledRule, env []value.Value) {
+	ic := st.incr
+	ic.rkey = appendHeadKey(ic.rkey[:0], cr, env)
+	key := ic.rkey
+	dst := cr.Head.peer.val.StringVal()
+	if _, ok := st.rv.views[dst][string(key)]; ok {
+		if m := ic.rMarked[dst]; m != nil {
+			if _, ok := m[string(key)]; ok {
+				delete(m, string(key))
+			}
+		}
+		return
+	}
+	m := ic.rIns[dst]
+	if m == nil {
+		m = map[string]ast.Fact{}
+		ic.rIns[dst] = m
+	}
+	if _, ok := m[string(key)]; ok {
+		return
+	}
+	t := make(value.Tuple, len(cr.Head.args))
+	for k, arg := range cr.Head.args {
+		if arg.isVar {
+			t[k] = env[arg.slot]
+		} else {
+			t[k] = arg.val
+		}
+	}
+	m[string(key)] = ast.Fact{Rel: cr.Head.rel.val.StringVal(), Peer: dst, Args: t}
+}
+
+// markRemote is produceDelete for remote-view rules: the head fact under
+// env is over-deleted in the remote view, if the view holds it.
+func (e *Engine) markRemote(st *stageState, cr *CompiledRule, env []value.Value) {
+	ic := st.incr
+	ic.rkey = appendHeadKey(ic.rkey[:0], cr, env)
+	key := ic.rkey
+	dst := cr.Head.peer.val.StringVal()
+	f, ok := st.rv.views[dst][string(key)]
+	if !ok {
+		return
+	}
+	m := ic.rMarked[dst]
+	if m == nil {
+		m = map[string]ast.Fact{}
+		ic.rMarked[dst] = m
+	}
+	if _, done := m[string(key)]; !done {
+		m[string(key)] = f
+	}
+}
+
 // classify fills the Event / MaybeView flags of every rule and decides
 // whether the program as a whole is incrementally maintainable. Called after
 // stratification (CompileProgram / CompileRules).
 func (e *Engine) classify(prog *Program) {
 	idb := e.localIntensional()
 	ok := e.opts.Incremental && e.opts.Tracer == nil
+	prog.remoteViews = nil
 	for _, cr := range prog.Rules {
 		localBody := true
 		hasNeg := false
@@ -235,13 +324,23 @@ func (e *Engine) classify(prog *Program) {
 			(cr.Head.rel.isVar || headRelIntensional)
 		isView := cr.Rule.Op == ast.Derive && localBody &&
 			headPeerLocal && !cr.Head.rel.isVar && headRelIntensional
-		cr.Event = !isView
+		cr.RemoteView = cr.Rule.Op == ast.Derive && localBody && !hasNeg &&
+			!cr.Head.rel.isVar && cr.Head.rel.val.Kind() == value.KindString &&
+			!cr.Head.peer.isVar && cr.Head.peer.val.Kind() == value.KindString &&
+			!headPeerLocal
+		cr.Event = !isView && !cr.RemoteView
+		if cr.RemoteView {
+			prog.remoteViews = append(prog.remoteViews, cr)
+		}
 		if cr.MaybeView && hasNeg {
 			// Deleting through negation would need insert deltas to feed
 			// view deletions and vice versa; fall back to recomputation.
 			ok = false
 		}
 	}
+	sort.SliceStable(prog.remoteViews, func(i, j int) bool {
+		return prog.remoteViews[i].Head.relID < prog.remoteViews[j].Head.relID
+	})
 	prog.Incremental = ok
 }
 
@@ -249,9 +348,10 @@ func (e *Engine) classify(prog *Program) {
 // stage, program changes, and programs (or engines) that are not
 // incrementally maintainable. It clears the intensional relations, re-seeds
 // the externally supported and transient tuples the caller passes in, runs
-// the ordinary fixpoint, and diffs the remote emission set against the
-// caller's maintained remote view so that Result.RemoteOut still carries
-// deltas.
+// the ordinary fixpoint, and reconciles the complete remote emission set
+// against the caller's maintained remote view (O(view)), so that
+// Result.RemoteOut still carries deltas and the view is a sound base for
+// the incremental stages that follow.
 func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv *RemoteView) *Result {
 	e.db.ClearIntensional()
 	for relID, ts := range seeds {
@@ -265,24 +365,24 @@ func (e *Engine) RunStageFull(prog *Program, seeds map[string][]value.Tuple, rv 
 			}
 		}
 	}
-	var res *Result
+	st := newStageState()
 	if prog != nil {
-		res = e.RunStage(prog)
-	} else {
-		res = &Result{Remote: map[string][]FactOp{}, Delegations: map[string]map[string][]ast.Rule{}}
+		st = e.runStage(prog)
 	}
-	res.RemoteOut = rv.Diff(res.Remote)
-	return res
+	st.out.RemoteOut = rv.reconcile(st.out.Remote, st.events)
+	return st.out
 }
 
 // RunStageIncremental maintains the materialized views from the stage's
 // base-fact deltas. Per stratum it (1) runs the over-delete/rederive pass
 // for the accumulated deletions, (2) runs semi-naive delta iterations of the
-// view rules over the accumulated insertions, and (3) evaluates the event
-// rules in full, cascading any local derivations they add back through the
-// view rules. The caller must have run a full stage for this program before
-// (the views must be materialized and consistent), and passes the same
-// maintained remote view it passed there.
+// view and remote-view rules over the accumulated insertions, and (3)
+// evaluates the event rules in full, cascading any local derivations they
+// add back through the view rules. It then settles the remote facts the
+// stage touched against the maintained remote view. The caller must have
+// run a full stage for this program before (the views must be materialized
+// and consistent), and passes the same maintained remote view it passed
+// there.
 func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteView) *Result {
 	st := newStageState()
 	st.planner = e.newPlanner()
@@ -294,8 +394,11 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 		insNew:   map[string]map[string]value.Tuple{},
 		stageIns: deltaSet{},
 		stageDel: deltaSet{},
+		rIns:     map[string]map[string]ast.Fact{},
+		rMarked:  map[string]map[string]ast.Fact{},
 	}
 	st.incr = ic
+	st.rv = rv
 	if in != nil {
 		for relID, ts := range in.Ins {
 			ic.stageIns[relID] = append(ic.stageIns[relID], ts...)
@@ -407,7 +510,14 @@ func (e *Engine) RunStageIncremental(prog *Program, in *StageInput, rv *RemoteVi
 	if len(views) > 0 {
 		st.out.Views = views
 	}
-	st.out.RemoteOut = rv.Diff(st.out.Remote)
+	st.out.RemoteOut = rv.advance(ic.rIns, ic.rMarked, st.events, st.out.Remote, func(f ast.Fact) bool {
+		for _, cr := range prog.remoteViewsFor(f.Rel + "@" + f.Peer) {
+			if e.derives(cr, st, f.Rel, f.Peer, f.Args) {
+				return true
+			}
+		}
+		return false
+	})
 	return st.out
 }
 
@@ -444,11 +554,8 @@ func (e *Engine) insertPhase(stratum []*CompiledRule, st *stageState, seed delta
 				if a.neg {
 					continue
 				}
-				if !a.rel.isVar && !a.peer.isVar {
-					id := a.rel.val.StringVal() + "@" + a.peer.val.StringVal()
-					if len(prev[id]) == 0 {
-						continue
-					}
+				if a.relID != "" && len(prev[a.relID]) == 0 {
+					continue
 				}
 				e.evalRule(cr, st, j, prev)
 			}
@@ -483,7 +590,7 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 		}
 		ic.frontier = deltaSet{}
 		for _, cr := range stratum {
-			if !cr.MaybeView || cr.Rule.Op != ast.Derive {
+			if !cr.RemoteView && (!cr.MaybeView || cr.Rule.Op != ast.Derive) {
 				continue
 			}
 			for j := range cr.Body {
@@ -491,11 +598,8 @@ func (e *Engine) deletePhase(prog *Program, stratum []*CompiledRule, st *stageSt
 				if a.neg {
 					continue
 				}
-				if !a.rel.isVar && !a.peer.isVar {
-					id := a.rel.val.StringVal() + "@" + a.peer.val.StringVal()
-					if len(frontier[id]) == 0 {
-						continue
-					}
+				if a.relID != "" && len(frontier[a.relID]) == 0 {
+					continue
 				}
 				if st.planner != nil {
 					if ep := st.planner.compiledFor(cr, kindDRed, j); ep != nil {
@@ -580,31 +684,31 @@ func (e *Engine) rederive(prog *Program, st *stageState, marks []relTuple) {
 // planner supplies a body order chosen for exactly that pre-bound state.
 func (e *Engine) rederivable(prog *Program, st *stageState, relName, peerName string, t value.Tuple) bool {
 	for _, cr := range prog.Rules {
-		if !cr.MaybeView || cr.Rule.Op != ast.Derive {
-			continue
-		}
-		env := make([]value.Value, cr.NumSlots)
-		bound := make([]bool, cr.NumSlots)
-		if !unifyHead(cr, relName, peerName, t, env, bound) {
-			continue
-		}
-		if st.planner != nil {
-			if ep := st.planner.compiledFor(cr, kindMatch, -1); ep != nil {
-				if ep.runMatch(e, st, env) {
-					return true
-				}
-				continue
-			}
-		}
-		var ord []int
-		if st.planner != nil {
-			ord = st.planner.rederiveOrder(cr)
-		}
-		if e.matchFrom(cr, 0, env, bound, ord) {
+		if cr.MaybeView && cr.Rule.Op == ast.Derive && e.derives(cr, st, relName, peerName, t) {
 			return true
 		}
 	}
 	return false
+}
+
+// derives reports whether rule cr derives rel@peer(t) from the current
+// database (head-unified, compiled when possible).
+func (e *Engine) derives(cr *CompiledRule, st *stageState, relName, peerName string, t value.Tuple) bool {
+	env := make([]value.Value, cr.NumSlots)
+	bound := make([]bool, cr.NumSlots)
+	if !unifyHead(cr, relName, peerName, t, env, bound) {
+		return false
+	}
+	if st.planner != nil {
+		if ep := st.planner.compiledFor(cr, kindMatch, -1); ep != nil {
+			return ep.runMatch(e, st, env)
+		}
+	}
+	var ord []int
+	if st.planner != nil {
+		ord = st.planner.rederiveOrder(cr)
+	}
+	return e.matchFrom(cr, 0, env, bound, ord)
 }
 
 // unifyHead binds the rule's head against the target fact; false if the head
@@ -795,11 +899,16 @@ func (e *Engine) deleteFrom(cr *CompiledRule, step int, env []value.Value, bound
 }
 
 // produceDelete marks the head tuple under the current bindings as
-// over-deleted if it is a currently materialized local view tuple. All other
-// head shapes (remote, extensional, already deleted) are ignored here: event
-// rules re-emit their outputs in full and the remote view diff handles
-// retraction.
+// over-deleted if it is a currently materialized local view tuple, or, for
+// a remote-view rule, a fact of the remote view. All other head shapes
+// (extensional, already deleted, event-rule output) are ignored here:
+// event rules re-emit their outputs in full and the remote view reconciles
+// what they stop emitting.
 func (e *Engine) produceDelete(cr *CompiledRule, env []value.Value, st *stageState) {
+	if cr.RemoteView {
+		e.markRemote(st, cr, env)
+		return
+	}
 	ic := st.incr
 	headPeer, ok := resolveName(cr.Head.peer, env)
 	if !ok || headPeer != e.local {

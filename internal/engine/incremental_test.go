@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/ast"
@@ -414,6 +415,163 @@ func TestIncrementalRemoteDiff(t *testing.T) {
 	got := res.RemoteOut["remote"]
 	if len(got) != 1 || got[0].Op != ast.Delete || !got[0].Maint || got[0].Fact.Args[0].StringVal() != "v1" {
 		t.Fatalf("RemoteOut after delete = %v, want one maintained delete of v1", got)
+	}
+}
+
+// remoteOps renders a stage's deltas for dst: "+f" maintained insert, "-f"
+// maintained delete, "!f" one-shot delete, in shipping order.
+func remoteOps(res *Result, dst string) []string {
+	var out []string
+	for _, o := range res.RemoteOut[dst] {
+		switch {
+		case o.Op == ast.Derive:
+			out = append(out, "+"+o.Fact.String())
+		case o.Maint:
+			out = append(out, "-"+o.Fact.String())
+		default:
+			out = append(out, "!"+o.Fact.String())
+		}
+	}
+	return out
+}
+
+func wantOps(t *testing.T, what string, res *Result, dst string, want ...string) {
+	t.Helper()
+	if got := remoteOps(res, dst); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("%s: RemoteOut[%s] = %v, want %v", what, dst, got, want)
+	}
+}
+
+// viewOf renders the facts rv maintains at dst.
+func viewOf(rv *RemoteView, dst string) []string {
+	var out []string
+	for _, f := range rv.SnapshotFacts(dst) {
+		out = append(out, f.String())
+	}
+	return out
+}
+
+// TestRemoteViewAndEventDerivationsOfOneFact: a remote fact derived by a
+// remote-view rule and by an event rule (variable head peer) survives the
+// loss of either derivation and is retracted when both are gone.
+func TestRemoteViewAndEventDerivationsOfOneFact(t *testing.T) {
+	h := newIncrHarness(t, []string{"ext a(x)", "ext b(x)", "ext dst(p)"}, mustRules(t,
+		`out@q($x) :- a@local($x);`,
+		`out@$p($x) :- dst@local($p), b@local($x);`,
+	))
+	if !h.prog.Rules[0].RemoteView || !h.prog.Rules[1].Event {
+		t.Fatalf("classified remote view %v, event %v; want true, true", h.prog.Rules[0].RemoteView, h.prog.Rules[1].Event)
+	}
+	av := ast.NewFact("a", "local", value.Str("v"))
+	bv := ast.NewFact("b", "local", value.Str("v"))
+	dq := ast.NewFact("dst", "local", value.Str("q"))
+	wantOps(t, "both derivations appear", h.step([]ast.Fact{av, bv, dq}, nil), "q", `+out@q("v")`)
+	wantOps(t, "remote-view derivation lost", h.step(nil, []ast.Fact{av}), "q")
+	wantOps(t, "remote-view derivation back", h.step([]ast.Fact{av}, nil), "q")
+	wantOps(t, "event derivation lost", h.step(nil, []ast.Fact{bv}), "q")
+	wantOps(t, "event derivation back", h.step([]ast.Fact{bv}, nil), "q")
+	wantOps(t, "event derivation lost again", h.step(nil, []ast.Fact{dq}), "q")
+	wantOps(t, "both gone", h.step(nil, []ast.Fact{av}), "q", `-out@q("v")`)
+	if got := viewOf(h.rv, "q"); len(got) != 0 {
+		t.Fatalf("view after both derivations died = %v, want empty", got)
+	}
+	wantOps(t, "event derivation alone", h.step([]ast.Fact{dq}, nil), "q", `+out@q("v")`)
+	wantOps(t, "event derivation gone", h.step(nil, []ast.Fact{bv}), "q", `-out@q("v")`)
+}
+
+// TestRemoteViewTwoRulesOneFact: a remote fact derived by two remote-view
+// rules survives the deletion of one rule's body tuple and is retracted with
+// the second.
+func TestRemoteViewTwoRulesOneFact(t *testing.T) {
+	h := newIncrHarness(t, []string{"ext a(x)", "ext b(x)"}, mustRules(t,
+		`out@q($x) :- a@local($x);`,
+		`out@q($x) :- b@local($x);`,
+	))
+	av := ast.NewFact("a", "local", value.Str("v"))
+	bv := ast.NewFact("b", "local", value.Str("v"))
+	wantOps(t, "derived twice", h.step([]ast.Fact{av, bv}, nil), "q", `+out@q("v")`)
+	wantOps(t, "one derivation left", h.step(nil, []ast.Fact{av}), "q")
+	if got := viewOf(h.rv, "q"); fmt.Sprint(got) != `[out@q("v")]` {
+		t.Fatalf("view = %v, want the fact kept", got)
+	}
+	wantOps(t, "none left", h.step(nil, []ast.Fact{bv}), "q", `-out@q("v")`)
+}
+
+// TestOneShotEvictionReshippedWithoutDelta: a fact a one-shot deletion rule
+// evicted stays out of the view while the deletion rule fires — even across
+// a stage whose delta is unrelated — and is re-shipped as a maintained
+// insert at the first stage after, though that stage's delta does not touch
+// its derivation.
+func TestOneShotEvictionReshippedWithoutDelta(t *testing.T) {
+	h := newIncrHarness(t, []string{"ext a(x)", "ext trig(x)", "ext c(x)"}, mustRules(t,
+		`out@q($x) :- a@local($x);`,
+		`-out@q($x) :- trig@local($x);`,
+	))
+	av := ast.NewFact("a", "local", value.Str("v"))
+	tv := ast.NewFact("trig", "local", value.Str("v"))
+	wantOps(t, "derived", h.step([]ast.Fact{av}, nil), "q", `+out@q("v")`)
+	res := h.step([]ast.Fact{tv}, nil)
+	ops := remoteOps(res, "q")
+	sort.Strings(ops)
+	if fmt.Sprint(ops) != `[!out@q("v") -out@q("v")]` {
+		t.Fatalf("eviction: RemoteOut = %v, want the one-shot and the maintained delete", ops)
+	}
+	if got := viewOf(h.rv, "q"); len(got) != 0 {
+		t.Fatalf("view after eviction = %v, want empty", got)
+	}
+	// The deletion rule still fires: the fact stays evicted, and nothing
+	// re-ships it meanwhile.
+	wantOps(t, "unrelated delta, rule still firing",
+		h.step([]ast.Fact{ast.NewFact("c", "local", value.Str("w"))}, nil), "q", `!out@q("v")`)
+	// The trigger goes; the still-derived fact comes back although neither
+	// a@local nor the remote-view rule is touched.
+	wantOps(t, "re-shipped", h.step(nil, []ast.Fact{tv}), "q", `+out@q("v")`)
+	if got := viewOf(h.rv, "q"); fmt.Sprint(got) != `[out@q("v")]` {
+		t.Fatalf("view after re-ship = %v, want the fact back", got)
+	}
+	wantOps(t, "quiescent", h.step([]ast.Fact{ast.NewFact("c", "local", value.Str("x"))}, nil), "q")
+}
+
+// TestProgramChangeRetractsOnlyRemovedRuleFacts: dropping a rule (a program
+// change, which runs a full stage) retracts exactly the remote facts only
+// that rule derived; incremental maintenance then goes on under the new
+// program.
+func TestProgramChangeRetractsOnlyRemovedRuleFacts(t *testing.T) {
+	rules := mustRules(t,
+		`out@q($x) :- a@local($x);`,
+		`out@q($x) :- b@local($x);`,
+		`out@$p($x) :- dst@local($p), c@local($x);`,
+	)
+	h := newIncrHarness(t, []string{"ext a(x)", "ext b(x)", "ext c(x)", "ext dst(p)"}, rules)
+	fact := func(rel string, v int64) ast.Fact { return ast.NewFact(rel, "local", value.Int(v)) }
+	h.step([]ast.Fact{fact("a", 1), fact("a", 2), fact("b", 2), fact("b", 3),
+		ast.NewFact("dst", "local", value.Str("q")), fact("c", 3), fact("c", 4)}, nil)
+	if got := viewOf(h.rv, "q"); len(got) != 4 {
+		t.Fatalf("view = %v, want out(1..4)", got)
+	}
+
+	// Remove the b-rule: only out(2) and out(3) lost it, and each has
+	// another derivation. Then remove the event rule: out(3) and out(4)
+	// lose it, and only out(4) has nothing else.
+	for _, c := range []struct {
+		keep []ast.Rule
+		want []string
+	}{
+		{[]ast.Rule{rules[0], rules[2]}, nil},
+		{[]ast.Rule{rules[0]}, []string{"-out@q(3)", "-out@q(4)"}},
+	} {
+		prog, err := h.e.CompileProgram(c.keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.prog = prog
+		res := h.e.RunStageFull(prog, nil, h.rv)
+		checkNoErrors(t, res)
+		wantOps(t, fmt.Sprintf("program of %d rules", len(c.keep)), res, "q", c.want...)
+	}
+	wantOps(t, "incremental after the change", h.step(nil, []ast.Fact{fact("a", 2)}), "q", "-out@q(2)")
+	if got := viewOf(h.rv, "q"); fmt.Sprint(got) != "[out@q(1)]" {
+		t.Fatalf("view = %v, want [out@q(1)]", got)
 	}
 }
 

@@ -381,7 +381,10 @@ func (e *Engine) Explain(prog *Program) string {
 	}
 	for _, cr := range prog.Rules {
 		kind := "event"
-		if !cr.Event {
+		switch {
+		case cr.RemoteView:
+			kind = "remote view"
+		case !cr.Event:
 			kind = "view"
 		}
 		fmt.Fprintf(&sb, "rule %s (stratum %d, %s): %s;\n", cr.Rule.ID, cr.Stratum, kind, cr.Rule.String())

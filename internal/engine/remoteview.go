@@ -9,12 +9,18 @@ import (
 )
 
 // RemoteView is the maintained per-destination image of every fact a peer's
-// program currently derives for remote peers (Derive-op heads only). It used
-// to be a private field of the Engine; it is now owned by the peer's
-// outbound session layer — it is per-(sender, receiver) stream state, the
-// thing a resync snapshot replays — and passed into RunStageFull /
-// RunStageIncremental, which diff each stage's emission set against it to
-// produce Result.RemoteOut.
+// program currently derives for remote peers (Derive-op heads only). It is
+// owned by the peer's outbound session layer — it is per-(sender, receiver)
+// stream state, the thing a resync snapshot replays — and passed into
+// RunStageFull / RunStageIncremental, which advance it by each stage's
+// remote deltas to produce Result.RemoteOut.
+//
+// The view is the materialization of the program's remote-view rules plus
+// whatever its event rules emitted at the last stage. An incremental stage
+// touches only the facts that changed: the remote-view deltas, the facts
+// event rules emitted this stage or the last (kept in events), and the facts
+// a one-shot deletion rule evicted at the last stage (kept in evicted). Only
+// RunStageFull reconciles the whole view (Diff).
 //
 // Alongside the facts, the view keeps one Merkle summary tree
 // (store.MerkleTree) per destination and relation, maintained incrementally
@@ -28,6 +34,14 @@ import (
 type RemoteView struct {
 	views map[string]map[string]ast.Fact          // dst -> fact key -> fact
 	trees map[string]map[string]*store.MerkleTree // dst -> relID at dst -> summary tree
+	// events holds, per destination, the Derive facts event rules emitted
+	// at the last stage. A fact they stop emitting loses that support and
+	// is re-checked against the remote-view rules.
+	events map[string]map[string]ast.Fact
+	// evicted holds, per destination, the facts one-shot deletion rules
+	// deleted at the last stage. They left the view; the next stage ships
+	// a maintained insert for each one still derived.
+	evicted map[string]map[string]ast.Fact
 	// intern, when set, canonicalizes the tuples the view retains: a fact
 	// maintained at many destinations (a post pushed to every follower)
 	// keeps one tuple backing for all its ledger entries instead of one
@@ -91,115 +105,197 @@ func (v *RemoteView) RangeFacts(dst, relID string, lo, hi uint64) []ast.Fact {
 // consistent content of a resync snapshot. The slice is the caller's.
 func (v *RemoteView) SnapshotFacts(dst string) []ast.Fact {
 	m := v.views[dst]
-	out := make([]ast.Fact, 0, len(m))
-	for _, f := range m {
-		out = append(out, f)
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	sort.Strings(keys)
+	out := make([]ast.Fact, len(keys))
+	for i, key := range keys {
+		out[i] = m[key]
+	}
 	return out
 }
 
-// Diff diffs one stage's full Derive-op emission set against the maintained
-// view: newly derived facts ship as maintained inserts, facts no longer
-// derived as maintained deletes, and explicit deletion-rule emissions pass
-// through unchanged. The view (and its summary trees) are updated in place;
-// the trees advance by exactly the maintained deltas this stage emits, so
-// their cost is O(δ log n), not O(view).
+// install adds f under key to dst's view and summary tree and records the
+// maintained insert in out.
+func (v *RemoteView) install(out map[string][]RemoteOp, dst, key string, f ast.Fact) {
+	if v.intern != nil {
+		f.Args, _ = v.intern.Tuple(f.Args)
+	}
+	m := v.views[dst]
+	if m == nil {
+		m = map[string]ast.Fact{}
+		v.views[dst] = m
+	}
+	m[key] = f
+	tm := v.trees[dst]
+	if tm == nil {
+		tm = map[string]*store.MerkleTree{}
+		v.trees[dst] = tm
+	}
+	relID := f.Rel + "@" + f.Peer
+	tr := tm[relID]
+	if tr == nil {
+		tr = store.NewMerkleTree()
+		tm[relID] = tr
+	}
+	tr.Add(f.Args.Key())
+	out[dst] = append(out[dst], RemoteOp{Op: ast.Derive, Maint: true, Fact: f})
+}
+
+// uninstall removes the fact under key from dst's view and summary tree
+// and records the maintained delete in out.
+func (v *RemoteView) uninstall(out map[string][]RemoteOp, dst, key string) {
+	m := v.views[dst]
+	f := m[key]
+	delete(m, key)
+	if len(m) == 0 {
+		delete(v.views, dst)
+	}
+	relID := f.Rel + "@" + f.Peer
+	if tr := v.trees[dst][relID]; tr != nil {
+		tr.Remove(f.Args.Key())
+		if tr.Len() == 0 {
+			delete(v.trees[dst], relID)
+			if len(v.trees[dst]) == 0 {
+				delete(v.trees, dst)
+			}
+		}
+	}
+	out[dst] = append(out[dst], RemoteOp{Op: ast.Delete, Maint: true, Fact: f})
+}
+
+// settle brings the fact under key at dst to the wanted membership,
+// shipping the maintained insert or delete that takes. Settling a fact
+// twice with the same verdict is a no-op.
+func (v *RemoteView) settle(out map[string][]RemoteOp, dst, key string, f ast.Fact, want bool) {
+	_, had := v.views[dst][key]
+	switch {
+	case want && !had:
+		v.install(out, dst, key, f)
+	case !want && had:
+		v.uninstall(out, dst, key)
+	}
+}
+
+// oneShotDeletes passes the stage's deletion-rule emissions through to out
+// and returns them by destination and key. A one-shot delete undoes the
+// fact at the receiver, so it also evicts the fact from the view; the next
+// stage re-ships it as a maintained insert if it is still derived (the
+// paper's continuous-update semantics, one stage later), instead of the
+// view silently claiming the receiver still has it.
+func oneShotDeletes(out map[string][]RemoteOp, remote map[string][]FactOp) map[string]map[string]ast.Fact {
+	var del map[string]map[string]ast.Fact
+	for dst, ops := range remote {
+		for _, op := range ops {
+			if op.Op != ast.Delete {
+				continue
+			}
+			out[dst] = append(out[dst], RemoteOp{Op: ast.Delete, Fact: op.Fact})
+			if del == nil {
+				del = map[string]map[string]ast.Fact{}
+			}
+			if del[dst] == nil {
+				del[dst] = map[string]ast.Fact{}
+			}
+			del[dst][op.Fact.Key()] = op.Fact
+		}
+	}
+	return del
+}
+
+// Diff reconciles one stage's complete Derive-op emission set against the
+// whole maintained view: newly derived facts ship as maintained inserts,
+// facts no longer derived as maintained deletes, and explicit deletion-rule
+// emissions pass through unchanged (evicting the fact, see oneShotDeletes).
+// It costs O(view) and backs only RunStageFull; incremental stages advance
+// the view by their deltas instead. Every emission counts as event-rule
+// output, so a later incremental stage re-checks the facts it no longer
+// emits. The summary trees advance by exactly the maintained deltas.
 func (v *RemoteView) Diff(remote map[string][]FactOp) map[string][]RemoteOp {
-	out := map[string][]RemoteOp{}
-	cur := map[string]map[string]ast.Fact{}
-	oneShotDel := map[string]map[string]bool{}
+	return v.reconcile(remote, deriveSet(remote))
+}
+
+// deriveSet returns the Derive emissions of remote by destination and key.
+func deriveSet(remote map[string][]FactOp) map[string]map[string]ast.Fact {
+	set := map[string]map[string]ast.Fact{}
 	for dst, ops := range remote {
 		for _, op := range ops {
 			if op.Op == ast.Delete {
-				out[dst] = append(out[dst], RemoteOp{Op: ast.Delete, Fact: op.Fact})
-				if oneShotDel[dst] == nil {
-					oneShotDel[dst] = map[string]bool{}
-				}
-				oneShotDel[dst][op.Fact.Key()] = true
 				continue
 			}
-			m := cur[dst]
+			m := set[dst]
 			if m == nil {
 				m = map[string]ast.Fact{}
-				cur[dst] = m
+				set[dst] = m
 			}
-			if v.intern != nil {
-				op.Fact.Args, _ = v.intern.Tuple(op.Fact.Args)
-			}
-			key := op.Fact.Key()
-			m[key] = op.Fact
-			if _, had := v.views[dst][key]; !had {
-				out[dst] = append(out[dst], RemoteOp{Op: ast.Derive, Maint: true, Fact: op.Fact})
-			}
+			m[op.Fact.Key()] = op.Fact
 		}
 	}
-	// A one-shot deletion-rule emission undoes the fact at the receiver, so
-	// it must leave the maintained view too: if the fact is still derived,
-	// the next stage re-ships it as a maintained insert (the paper's
-	// continuous-update semantics, one stage later), instead of the view
-	// silently claiming the receiver still has it.
-	for dst, keys := range oneShotDel {
-		for key := range keys {
-			delete(cur[dst], key)
-		}
-	}
+	return set
+}
+
+// reconcile is Diff with the stage's event-rule emissions given apart: the
+// view remembers them as the event support the next stage checks.
+func (v *RemoteView) reconcile(remote map[string][]FactOp, events map[string]map[string]ast.Fact) map[string][]RemoteOp {
+	out := map[string][]RemoteOp{}
+	oneShot := oneShotDeletes(out, remote)
+	cur := deriveSet(remote)
 	for dst, facts := range v.views {
-		for key, f := range facts {
+		for key := range facts {
 			if _, still := cur[dst][key]; !still {
-				out[dst] = append(out[dst], RemoteOp{Op: ast.Delete, Maint: true, Fact: f})
+				v.uninstall(out, dst, key)
 			}
-		}
-	}
-	// Advance the summary trees by the maintained deltas just computed —
-	// they are exactly the view's membership changes (an insert cancelled by
-	// a same-stage one-shot delete never joins the view, so it is skipped).
-	for dst, ops := range out {
-		for _, op := range ops {
-			if !op.Maint {
-				continue
-			}
-			relID := op.Fact.Rel + "@" + op.Fact.Peer
-			key := op.Fact.Args.Key()
-			if op.Op == ast.Delete {
-				if tr := v.trees[dst][relID]; tr != nil {
-					tr.Remove(key)
-					if tr.Len() == 0 {
-						delete(v.trees[dst], relID)
-					}
-				}
-				continue
-			}
-			if _, installed := cur[dst][op.Fact.Key()]; !installed {
-				continue
-			}
-			tm := v.trees[dst]
-			if tm == nil {
-				tm = map[string]*store.MerkleTree{}
-				v.trees[dst] = tm
-			}
-			tr := tm[relID]
-			if tr == nil {
-				tr = store.NewMerkleTree()
-				tm[relID] = tr
-			}
-			tr.Add(key)
-		}
-		if len(v.trees[dst]) == 0 {
-			delete(v.trees, dst)
-		}
-	}
-	for dst := range v.views {
-		if len(cur[dst]) == 0 {
-			delete(v.views, dst)
 		}
 	}
 	for dst, m := range cur {
-		if len(m) == 0 {
-			continue // don't re-install emptied destinations
+		for key, f := range m {
+			_, del := oneShot[dst][key]
+			v.settle(out, dst, key, f, !del)
 		}
-		v.views[dst] = m
 	}
+	v.events, v.evicted = events, oneShot
+	for _, ops := range out {
+		sortRemoteOps(ops)
+	}
+	return out
+}
+
+// advance applies one incremental stage to the view and returns its remote
+// deltas. ins holds the remote-view derivations that were not in the view,
+// marked the over-deleted view facts the stage did not rederive, emitted
+// the Derive facts event rules emitted, and remote the event rules' full
+// output (its deletes are the one-shot deletions). derived reports whether
+// a remote-view rule still derives a fact from the final database. Only
+// those facts, the previous stage's event emissions and its evictions are
+// looked at: the rest of the view is unchanged by construction.
+func (v *RemoteView) advance(ins, marked, emitted map[string]map[string]ast.Fact, remote map[string][]FactOp, derived func(ast.Fact) bool) map[string][]RemoteOp {
+	out := map[string][]RemoteOp{}
+	oneShot := oneShotDeletes(out, remote)
+	// want is a fact's membership after the stage: not deleted by a
+	// one-shot rule, and emitted by an event rule or derived by a
+	// remote-view rule.
+	want := func(dst, key string, f ast.Fact) bool {
+		if _, del := oneShot[dst][key]; del {
+			return false
+		}
+		if _, ok := emitted[dst][key]; ok {
+			return true
+		}
+		if _, ok := ins[dst][key]; ok {
+			return true
+		}
+		return derived(f)
+	}
+	for _, src := range []map[string]map[string]ast.Fact{ins, emitted, marked, v.events, v.evicted, oneShot} {
+		for dst, m := range src {
+			for key, f := range m {
+				v.settle(out, dst, key, f, want(dst, key, f))
+			}
+		}
+	}
+	v.events, v.evicted = emitted, oneShot
 	for _, ops := range out {
 		sortRemoteOps(ops)
 	}
