@@ -9,7 +9,7 @@
 //	                             pre-installed rules
 //	P4  BenchmarkDistribution* — in-place distributed join vs centralizing
 //	                             the data (§1's "manage data in place")
-//	P5  BenchmarkTransport*    — in-memory bus vs TCP/gob messaging
+//	P5  BenchmarkTransport*    — in-memory bus vs TCP messaging
 //	A1  BenchmarkAblation*     — indexes on/off, WAL on/off
 //
 // Run with: go test -bench=. -benchmem

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	wdlbench [-exp all|e1,e3,p1,p10,i1,...] [-quick]
+//	wdlbench [-exp all|e1,e3,p1,p10,i1,...] [-quick] [-cpuprofile f] [-memprofile f]
 package main
 
 import (
@@ -25,6 +25,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -67,6 +69,8 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment ids (e1..e5, p1..p11, i1, a1) or 'all'")
 	jsonPath := flag.String("json", "", "write machine-readable per-experiment results (JSON) to this file")
 	flag.BoolVar(&quick, "quick", false, "smaller parameter sweeps")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken after the experiments, to this file")
 	flag.Parse()
 
 	all := []struct {
@@ -117,6 +121,11 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "wdlbench: %v\n", err)
+		os.Exit(2)
+	}
 	failed := 0
 	var results []expResult
 	for _, e := range all {
@@ -144,6 +153,10 @@ func main() {
 		}
 		results = append(results, r)
 	}
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintf(os.Stderr, "wdlbench: %v\n", err)
+		failed++
+	}
 	if *jsonPath != "" {
 		buf, err := json.MarshalIndent(struct {
 			Quick   bool        `json:"quick"`
@@ -160,6 +173,47 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
+}
+
+// startProfiles starts a CPU profile into cpuPath, when set, and returns
+// the function that stops it and writes a heap profile (in-use and
+// allocated bytes by call site) into memPath, when set. Inspect either with
+// `go tool pprof -top <file>`.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, fmt.Errorf("creating CPU profile: %w", err)
+		}
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, fmt.Errorf("starting CPU profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("writing CPU profile: %w", err)
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return fmt.Errorf("creating heap profile: %w", err)
+		}
+		runtime.GC() // the in-use figures as of the last collection
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return fmt.Errorf("writing heap profile: %w", err)
+		}
+		if err := f.Close(); err != nil {
+			return fmt.Errorf("writing heap profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // demo assembles the Figure 2 deployment.
@@ -757,10 +811,11 @@ func runP5() error {
 			return err
 		}
 		perMsg := r.Duration / time.Duration(r.Messages)
-		fmt.Printf("%-10s %9dB %12.0f %14v\n", "tcp+gob", payload, float64(r.Messages)/r.Duration.Seconds(), perMsg)
+		fmt.Printf("%-10s %9dB %12.0f %14v\n", "tcp", payload, float64(r.Messages)/r.Duration.Seconds(), perMsg)
 	}
-	fmt.Println("\nexpected shape: the in-memory bus is orders of magnitude faster; TCP+gob")
-	fmt.Println("is the cost of genuine distribution (the demo's laptop/cloud deployment).")
+	fmt.Println("\nexpected shape: the in-memory bus is an order of magnitude faster; TCP")
+	fmt.Println("(binary frames over loopback) is the cost of genuine distribution (the")
+	fmt.Println("demo's laptop/cloud deployment).")
 	return nil
 }
 

@@ -379,7 +379,7 @@ func RunBusThroughput(n, payload int) (TransportResult, error) {
 }
 
 // RunTCPThroughput pushes n fact messages of the given payload size through
-// a localhost TCP link, including gob encode/decode.
+// a localhost TCP link, including frame encode/decode.
 func RunTCPThroughput(n, payload int) (TransportResult, error) {
 	a, err := transport.ListenTCP(context.Background(), "a", "127.0.0.1:0", nil)
 	if err != nil {
@@ -577,7 +577,7 @@ func RunInsertPath(n int, batched bool) (BatchResult, error) {
 }
 
 // RunRemoteInsertPath measures the wire half of batching: peer a stages n
-// facts owned by peer b over a localhost TCP link — n framed gob messages
+// facts owned by peer b over a localhost TCP link — n framed messages
 // on the per-fact path, one on the batched path — and waits for b's stage
 // loop to ingest them.
 func RunRemoteInsertPath(n int, batched bool) (BatchResult, error) {

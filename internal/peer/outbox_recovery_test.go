@@ -1,7 +1,11 @@
 package peer
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
+	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,5 +269,44 @@ func TestDurableWatermarkSuppressesReplayAfterRestart(t *testing.T) {
 	}
 	if !acked {
 		t.Fatalf("replay after restart was not re-acked")
+	}
+}
+
+// TestOutboxLogFromGobCodecFailsLoudly: outbox logs persist payloads in the
+// protocol codec's format. A log written by the earlier gob codec must make
+// the durable peer refuse to start with an error naming the unsupported
+// format — not panic, and not misdecode the entry into something to send.
+func TestOutboxLogFromGobCodecFailsLoudly(t *testing.T) {
+	dir := t.TempDir()
+	gob.Register(protocol.FactsMsg{})
+	var old bytes.Buffer
+	box := struct{ Msg protocol.Payload }{protocol.FactsMsg{Ops: []protocol.FactDelta{
+		{Maint: true, Fact: ast.NewFact("view", "rcv", value.Int(1))},
+	}}}
+	if err := gob.NewEncoder(&old).Encode(&box); err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.OpenOutboxLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{l.LogEpoch(7), l.LogEnqueue("rcv", 1, old.Bytes()), l.Sync(), l.Close()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	w, err := store.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	p, err := New(Config{Name: "sender", WAL: w}, transport.NewBus().Endpoint("sender"))
+	if err == nil {
+		p.Close()
+		t.Fatal("peer opened an outbox log written by the gob codec")
+	}
+	if !errors.Is(err, protocol.ErrFormat) || !strings.Contains(err.Error(), "unsupported payload format") {
+		t.Fatalf("err = %v, want one naming the unsupported payload format", err)
 	}
 }

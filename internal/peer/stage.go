@@ -589,7 +589,7 @@ func (p *Peer) delegationsMatchLocked(from string, deleg map[string]uint64) bool
 
 // snapshotChunkOps bounds one snapshot chunk: a maintained view larger than
 // this ships as a contiguous run of SnapshotMsgs (every chunk but the last
-// with More set) instead of one unbounded gob message, and the receiver
+// with More set) instead of one unbounded message, and the receiver
 // buffers the run and applies it atomically at the final chunk.
 const snapshotChunkOps = 4096
 

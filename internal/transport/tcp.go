@@ -17,7 +17,8 @@ import (
 // TCPEndpoint is a peer's attachment to a TCP network of peers. Every peer
 // listens on its own address; outgoing connections are dialed lazily per
 // destination and kept open (one FIFO link per peer pair, like the paper's
-// deployment). Envelopes are gob-encoded and length-prefixed on the wire.
+// deployment). Envelopes travel in protocol's binary frame encoding,
+// length-prefixed on the wire.
 type TCPEndpoint struct {
 	name string
 	ln   net.Listener
@@ -45,8 +46,8 @@ var _ WakeHooker = (*TCPEndpoint)(nil)
 type tcpConn struct {
 	c net.Conn
 
-	mu sync.Mutex // serializes writers on this link
-	w  *bufio.Writer
+	mu  sync.Mutex // serializes writers on this link
+	buf []byte     // frame being written; reused across sends
 }
 
 // ListenTCP starts a TCP endpoint for peer name on addr (e.g. ":7001" or
@@ -161,8 +162,10 @@ func (e *TCPEndpoint) readLoop(c net.Conn) {
 		e.mu.Unlock()
 	}()
 	r := bufio.NewReader(c)
+	var buf []byte
 	for {
-		env, err := readFrame(r)
+		env, next, err := readFrame(r, buf)
+		buf = next
 		if err != nil {
 			return // EOF or peer failure: the link is dropped, sender redials
 		}
@@ -193,39 +196,59 @@ func (e *TCPEndpoint) SetWakeHook(fn func()) bool {
 	return true
 }
 
-// frame layout: 4-byte little-endian length, then the gob-encoded envelope.
+// frame layout: 4-byte little-endian length, then the envelope encoded by
+// protocol.AppendEnvelope.
 const maxFrame = 256 << 20 // 256 MiB: far beyond any sane batch, guards corruption
 
-func readFrame(r io.Reader) (protocol.Envelope, error) {
+// maxKeptBuf caps the per-link frame buffers kept between frames, so one
+// large snapshot does not pin its buffer for the link's lifetime.
+const maxKeptBuf = 64 << 10
+
+// readFrame reads one frame into buf (grown as needed) and decodes it. It
+// returns the buffer to pass to the next call: reusing it is safe because
+// the decoded envelope copies everything it keeps out of the frame.
+func readFrame(r io.Reader, buf []byte) (protocol.Envelope, []byte, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return protocol.Envelope{}, err
+		return protocol.Envelope{}, buf, err
 	}
 	n := binary.LittleEndian.Uint32(lenBuf[:])
 	if n > maxFrame {
-		return protocol.Envelope{}, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+		return protocol.Envelope{}, buf, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
+	var body []byte
+	if int(n) <= cap(buf) {
+		body = buf[:n]
+	} else {
+		body = make([]byte, n)
+	}
+	if cap(body) <= maxKeptBuf {
+		buf = body
+	}
 	if _, err := io.ReadFull(r, body); err != nil {
-		return protocol.Envelope{}, err
+		return protocol.Envelope{}, buf, err
 	}
-	return protocol.DecodeEnvelope(body)
+	env, err := protocol.DecodeEnvelope(body)
+	return env, buf, err
 }
 
-func writeFrame(w *bufio.Writer, env protocol.Envelope) error {
-	body, err := protocol.Encode(env)
+// writeFrame encodes env behind a reserved length prefix in the link's
+// buffer and writes the frame with one call. Caller holds conn.mu.
+func writeFrame(conn *tcpConn, env protocol.Envelope) error {
+	frame, err := protocol.AppendEnvelope(append(conn.buf[:0], 0, 0, 0, 0), env)
+	if cap(frame) <= maxKeptBuf {
+		conn.buf = frame
+	}
 	if err != nil {
 		return err
 	}
-	var lenBuf [4]byte
-	binary.LittleEndian.PutUint32(lenBuf[:], uint32(len(body)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
+	n := len(frame) - 4
+	if n > maxFrame {
+		return fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	return w.Flush()
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	_, err = conn.c.Write(frame)
+	return err
 }
 
 func (e *TCPEndpoint) link(ctx context.Context, to string) (*tcpConn, error) {
@@ -263,7 +286,7 @@ func (e *TCPEndpoint) link(ctx context.Context, to string) (*tcpConn, error) {
 		c.Close()
 		return cur, nil
 	}
-	conn := &tcpConn{c: c, w: bufio.NewWriter(c)}
+	conn := &tcpConn{c: c}
 	e.conns[to] = conn
 	e.mu.Unlock()
 	return conn, nil
@@ -312,7 +335,7 @@ func (e *TCPEndpoint) Send(ctx context.Context, to string, msg protocol.Payload)
 		} else {
 			conn.c.SetWriteDeadline(time.Time{})
 		}
-		err = writeFrame(conn.w, env)
+		err = writeFrame(conn, env)
 		conn.mu.Unlock()
 		if err == nil {
 			return nil

@@ -49,9 +49,10 @@ func (k Kind) String() string {
 }
 
 // Value is a single immutable WebdamLog data value. The zero Value is the
-// empty string. Fields are exported so values serialize through encoding/gob
-// without custom codecs, but callers should treat values as immutable and
-// construct them with Str, Int, Float, Bool and Blob.
+// empty string. Fields are exported, but callers should treat values as
+// immutable and construct them with Str, Int, Float, Bool and Blob, which
+// leave the other kinds' fields zero: Encode writes only the kind's own
+// payload.
 type Value struct {
 	K Kind
 	S string // payload for KindString and KindBlob
@@ -295,10 +296,10 @@ func Decode(b []byte) (Value, []byte, error) {
 		}
 		return Value{K: k, F: math.Float64frombits(binary.LittleEndian.Uint64(b[:8]))}, b[8:], nil
 	case KindBool:
-		if len(b) < 1 {
+		if len(b) < 1 || b[0] > 1 { // only 0 and 1: one encoding per value
 			return Value{}, nil, ErrCorrupt
 		}
-		return Value{K: k, B: b[0] != 0}, b[1:], nil
+		return Value{K: k, B: b[0] == 1}, b[1:], nil
 	default:
 		return Value{}, nil, ErrCorrupt
 	}

@@ -167,6 +167,7 @@ func TestDecodeCorruptInputs(t *testing.T) {
 		{byte(KindInt), 1, 2},       // short int
 		{byte(KindString), 5, 0, 0}, // short length header
 		append([]byte{byte(KindString)}, []byte{10, 0, 0, 0, 0, 0, 0, 0, 'a'}...), // payload shorter than length
+		{byte(KindBool), 2}, // non-canonical bool byte
 	}
 	for i, b := range cases {
 		if _, _, err := Decode(b); err == nil {
